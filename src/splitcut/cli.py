@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 from .dimacs import ParseError, format_instance, parse_instance
 from .generate import generate_split
@@ -23,46 +22,25 @@ from .reduction import build_split_instance, maxcut_via_reduction
 from .solver import CutReport, decide_maxcut_report, maxcut_split
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    """Serialized solve outcome; field order is the documented JSON order."""
-
-    instance: str
-    n: int
-    m: int
-    algorithm: str
-    size: int
-    side1: tuple[int, ...]
-    subsets_enumerated: int
-    wall_ms: float
-
-
-def _solve_report(instance: str, g: Graph, rep: CutReport, wall_ms: float) -> SolveReport:
-    return SolveReport(
-        instance=instance,
-        n=g.n,
-        m=g.m,
-        algorithm=rep.algorithm,
-        size=rep.size,
-        side1=tuple(sorted(v + 1 for v in rep.cut.side1)),
-        subsets_enumerated=rep.subsets_enumerated,
-        wall_ms=round(wall_ms, 3),
-    )
-
-
-def _print_report(report: SolveReport, as_json: bool) -> None:
+def _print_report(instance: str, g: Graph, rep: CutReport, start: float, as_json: bool) -> None:
+    """Print a solve report timed from ``start``; the fields are in the documented order."""
+    wall_ms = round((time.perf_counter() - start) * 1000.0, 3)
+    report = {
+        "instance": instance,
+        "n": g.n,
+        "m": g.m,
+        "algorithm": rep.algorithm,
+        "size": rep.size,
+        "side1": sorted(v + 1 for v in rep.cut.side1),
+        "subsets_enumerated": rep.subsets_enumerated,
+        "wall_ms": wall_ms,
+    }
     if as_json:
-        print(json.dumps(asdict(report)))
+        print(json.dumps(report))
         return
-    side = " ".join(str(v) for v in report.side1)
-    print(f"instance: {report.instance}")
-    print(f"n: {report.n}")
-    print(f"m: {report.m}")
-    print(f"algorithm: {report.algorithm}")
-    print(f"max cut: {report.size}")
-    print(f"side1: {side}")
-    print(f"subsets enumerated: {report.subsets_enumerated}")
-    print(f"wall ms: {report.wall_ms}")
+    report["side1"] = " ".join(map(str, report["side1"]))
+    for key, value in report.items():
+        print(f"{'max cut' if key == 'size' else key.replace('_', ' ')}: {value}")
 
 
 def _load(path: str) -> Graph:
@@ -80,8 +58,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             rep = maxcut_split(g)
         except NotSplitGraphError:
             rep = maxcut_via_reduction(g)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    _print_report(_solve_report(args.instance, g, rep, wall_ms), args.json)
+    _print_report(args.instance, g, rep, start, args.json)
     return 0
 
 
@@ -123,8 +100,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     g = _load(args.instance)
     start = time.perf_counter()
     rep = brute_force_maxcut(g, cap=args.cap)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    _print_report(_solve_report(args.instance, g, rep, wall_ms), args.json)
+    _print_report(args.instance, g, rep, start, args.json)
     return 0
 
 
@@ -157,7 +133,7 @@ def balanced_bench_instance(t: int, prob: float, seed: int) -> Graph:
         part = recognize_split(g)
         if part is not None and min(len(part.clique), len(part.independent)) == t:
             return g
-    raise RuntimeError(f"no balanced instance found for t={t}")
+    raise ValueError(f"no balanced instance found for t={t} at prob={prob}")
 
 
 def bench_rows(
@@ -177,10 +153,9 @@ def bench_rows(
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    rows = bench_rows(args.min_t, args.max_t, args.prob, args.seed)
     print("t,n,subsets,size,millis")
-    for t, n, subsets, size, millis in bench_rows(
-        args.min_t, args.max_t, args.prob, args.seed
-    ):
+    for t, n, subsets, size, millis in rows:
         print(f"{t},{n},{subsets},{size},{millis:.2f}")
     return 0
 
@@ -244,10 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, NotSplitGraphError, InstanceTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (ParseError, NotSplitGraphError, InstanceTooLargeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,9 +39,10 @@ ALG2 = "alg2"
 TRIVIAL = "trivial"
 COMPONENT_MERGE = "component-merge"
 
-# Chunk of counter values evaluated per numpy pass; keeps peak extra
-# memory at a few hundred KB regardless of how many subsets are walked.
+# Most counter values per numpy pass, and the entry budget of one chunk's
+# (rows, columns) value table; see _scan for the memory this costs.
 _CHUNK = 1 << 14
+_TABLE = 1 << 18
 
 # Beyond 62 bits the counter would overflow uint64; 2^62 subsets is far
 # out of reach anyway.
@@ -80,13 +81,6 @@ def _require_clique(g: Graph, vertices) -> VertexSet:
     if not is_clique(g, s):
         raise ValueError("vertices do not form a clique")
     return s
-
-
-def _check_enumerable(size: int) -> None:
-    if size > _MAX_SIDE:
-        raise ValueError(
-            f"enumerated side has {size} vertices; walking 2^{size} subsets is not tractable"
-        )
 
 
 def _side_masks(g: Graph, side: list[int], of: list[int]) -> list[int]:
@@ -143,37 +137,75 @@ def clique_prefix_partition(g: Graph, clique, i1, i2, m: int) -> tuple[VertexSet
     return frozenset(order[:m]), frozenset(order[m:])
 
 
-def _best_clique_side_subset(g: Graph, cverts: list[int], iverts: list[int]) -> tuple[int, int]:
-    """Scan all subsets of ``cverts`` with greedy placement of ``iverts``.
+def _scan(g: Graph, side: list[int], other: list[int], score, columns: int) -> tuple[int, int, int]:
+    """Walk all 2^|side| subsets of ``side`` and return the first maximum.
 
-    Returns (best cut size, counter value of the first subset achieving
-    it). Counter bit i selects cverts[i] into side 1.
+    Counter bit i selects side[i] into side 1. For each chunk of
+    counters, ``score(counters, masks, degrees)`` gets every vertex of
+    ``other`` as a neighborhood bitmask over ``side`` plus its degree
+    into ``side``, and returns a (rows, columns) int64 table of cut sizes
+    that leaves out the edges inside ``side``; _scan adds those, so
+    ``side`` need not be a clique or an independent set. Returns (size,
+    counter, column) of the first maximum in (counter, column) order.
+
+    Memory does not grow with 2^|side|: a chunk has min(2^14, 2^18 //
+    columns) rows, but at least 256, so its value table holds at most
+    2^18 int64 entries (2 MiB) up to 1024 columns, and each chunk's
+    arrays are freed before the next chunk starts. The alg2 scorer holds
+    about two such tables at once (tracemalloc peak 4.7 MiB per solve at
+    |C| = 60, |I| = 16); alg1's one-column chunks stay under 1 MiB
+    (about 680 KiB at |C| = |I| = 22).
     """
-    t = len(cverts)
-    _check_enumerable(t)
-    within = np.array(_side_masks(g, cverts, cverts), dtype=np.uint64)
-    imasks = np.array(_side_masks(g, cverts, iverts), dtype=np.uint64)
-    idegs = np.bitwise_count(imasks).astype(np.int64) if len(iverts) else imasks
-    one = np.uint64(1)
-
+    t = len(side)
+    if t > _MAX_SIDE:
+        raise ValueError(f"enumerated side has {t} vertices; walking 2^{t} subsets is not tractable")
+    within = np.array(_side_masks(g, side, side), dtype=np.uint64)
+    masks = np.array(_side_masks(g, side, other), dtype=np.uint64)
+    degrees = np.bitwise_count(masks).astype(np.int64)
+    rows = max(256, min(_CHUNK, _TABLE // columns))
     best = -1
-    best_subset = 0
-    for lo in range(0, 1 << t, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << t)
-        counters = np.arange(lo, hi, dtype=np.uint64)
+    best_at = 0
+    for lo in range(0, 1 << t, rows):
+        counters = np.arange(lo, min(lo + rows, 1 << t), dtype=np.uint64)
         others = ~counters
-        total = np.zeros(hi - lo, dtype=np.int64)
-        for i in range(t):
-            picked = ((counters >> np.uint64(i)) & one).astype(np.int64)
-            total += picked * np.bitwise_count(within[i] & others).astype(np.int64)
-        for j in range(len(iverts)):
-            with_side1 = np.bitwise_count(imasks[j] & counters).astype(np.int64)
-            total += np.maximum(with_side1, idegs[j] - with_side1)
-        chunk_best = int(total.max())
-        if chunk_best > best:
-            best = chunk_best
-            best_subset = lo + int(total.argmax())
-    return best, best_subset
+        inner = np.zeros(len(counters), dtype=np.int64)  # edges inside side crossing the split
+        for i, mask in enumerate(within):
+            inner += np.bitwise_count(((counters >> np.uint64(i)) & np.uint64(1)) * mask & others)
+        values = score(counters, masks, degrees)
+        values += inner[:, None]
+        at = int(values.argmax())
+        if values.flat[at] > best:
+            best = int(values.flat[at])
+            best_at = lo * columns + at
+        del counters, others, inner, values
+    return best, *divmod(best_at, columns)
+
+
+def _greedy_values(counters: np.ndarray, masks: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """alg1: each independent vertex joins the side with fewer of its neighbors."""
+    total = np.zeros(len(counters), dtype=np.int64)
+    # Counts stay in uint8 (bitwise_count's type): with_side1 <= degree <= 62.
+    for mask, degree in zip(masks, degrees.tolist()):
+        with_side1 = np.bitwise_count(mask & counters)
+        total += np.maximum(with_side1, degree - with_side1)
+    return total[:, None]
+
+
+def _prefix_values(counters: np.ndarray, masks: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """alg2: column m puts the m clique vertices that most prefer side 1 there."""
+    size = len(masks)
+    m = np.arange(1, size + 1)
+    with_side1 = np.bitwise_count(counters[:, None] & masks)
+    values = np.empty((len(counters), size + 1), dtype=np.int64)
+    values[:, 0] = with_side1.sum(axis=1)
+    # Moving clique vertex v to side 1 gains degree_v - 2 * with_side1_v
+    # (2 * with_side1 <= 124 fits uint8). Only the sorted gains matter;
+    # clique_prefix_partition rebuilds the order for the witness.
+    losses = 2 * with_side1 - degrees
+    losses.sort(axis=1)
+    np.subtract(values[:, :1], losses.cumsum(axis=1, out=losses), out=values[:, 1:])
+    values[:, 1:] += m * (size - m)
+    return values
 
 
 def maxcut_given_is(g: Graph, independent) -> CutReport:
@@ -184,7 +216,7 @@ def maxcut_given_is(g: Graph, independent) -> CutReport:
     """
     ind = _require_independent(g, independent)
     cverts = sorted(set(range(g.n)) - ind)
-    best, subset = _best_clique_side_subset(g, cverts, sorted(ind))
+    best, subset, _ = _scan(g, cverts, sorted(ind), _greedy_values, 1)
     c1 = frozenset(cverts[i] for i in iter_bits(subset))
     c2 = frozenset(cverts) - c1
     i1, i2 = greedy_extend_is(g, ind, c1, c2)
@@ -196,59 +228,6 @@ def maxcut_given_is(g: Graph, independent) -> CutReport:
     )
 
 
-def _best_indep_side_subset(
-    g: Graph, cverts: list[int], iverts: list[int]
-) -> tuple[int, int, int]:
-    """Scan all subsets of ``iverts``, each with every prefix length m.
-
-    Returns (best cut size, counter value, m) for the first maximum in
-    (counter, m) lexicographic order. Counter bit j selects iverts[j]
-    into side 1.
-    """
-    t = len(iverts)
-    _check_enumerable(t)
-    csize = len(cverts)
-    within = np.array(_side_masks(g, iverts, iverts), dtype=np.uint64)
-    cmasks = np.array(_side_masks(g, iverts, cverts), dtype=np.uint64)
-    cdegs = np.bitwise_count(cmasks).astype(np.int64) if csize else cmasks
-    prefix_pairs = np.array([m * (csize - m) for m in range(csize + 1)], dtype=np.int64)
-    one = np.uint64(1)
-    # Per-chunk scratch is rows x (csize+1); shrink rows for wide cliques.
-    chunk = max(256, min(_CHUNK, (1 << 18) // (csize + 1)))
-
-    best = -1
-    best_subset = 0
-    best_m = 0
-    for lo in range(0, 1 << t, chunk):
-        hi = min(lo + chunk, 1 << t)
-        counters = np.arange(lo, hi, dtype=np.uint64)
-        others = ~counters
-        rows = hi - lo
-        inner = np.zeros(rows, dtype=np.int64)  # edges inside V \ C crossing the split
-        for j in range(t):
-            picked = ((counters >> np.uint64(j)) & one).astype(np.int64)
-            inner += picked * np.bitwise_count(within[j] & others).astype(np.int64)
-        with_side1 = np.empty((rows, csize), dtype=np.int64)
-        for i in range(csize):
-            with_side1[:, i] = np.bitwise_count(cmasks[i] & counters)
-        keys = cdegs[None, :] - 2 * with_side1
-        order = np.argsort(-keys, axis=1, kind="stable")
-        gains = np.take_along_axis(keys, order, axis=1).cumsum(axis=1)
-        base = inner + with_side1.sum(axis=1)
-        values = np.empty((rows, csize + 1), dtype=np.int64)
-        values[:, 0] = base
-        if csize:
-            values[:, 1:] = base[:, None] + prefix_pairs[1:] + gains
-        row_best = values.max(axis=1)
-        chunk_best = int(row_best.max())
-        if chunk_best > best:
-            row = int(row_best.argmax())
-            best = chunk_best
-            best_subset = lo + row
-            best_m = int(values[row].argmax())
-    return best, best_subset, best_m
-
-
 def maxcut_given_clique(g: Graph, clique) -> CutReport:
     """Maximum cut of any graph that has ``clique`` as a clique.
 
@@ -257,7 +236,7 @@ def maxcut_given_clique(g: Graph, clique) -> CutReport:
     """
     cl = _require_clique(g, clique)
     iverts = sorted(set(range(g.n)) - cl)
-    best, subset, m = _best_indep_side_subset(g, sorted(cl), iverts)
+    best, subset, m = _scan(g, iverts, sorted(cl), _prefix_values, len(cl) + 1)
     i1 = frozenset(iverts[j] for j in iter_bits(subset))
     i2 = frozenset(iverts) - i1
     c1, c2 = clique_prefix_partition(g, cl, i1, i2, m)

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import splitcut
 from splitcut import Cut, cut_size, parse_instance
 from splitcut.cli import main
 
@@ -170,6 +175,12 @@ class TestBench:
             assert int(fields[3]) > 0
             float(fields[4])
 
+    def test_no_balanced_instance_is_an_error(self, capsys):
+        assert main(["bench", "--min-t", "2", "--max-t", "3", "--prob", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no balanced instance found for t=2")
+
 
 class TestArgumentErrors:
     def test_unknown_subcommand(self):
@@ -181,3 +192,17 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as err:
             main(["solve", chord_file, "--fast"])
         assert err.value.code == 2
+
+
+class TestModuleEntry:
+    def test_python_dash_m_help(self):
+        # The child must import the same splitcut as this process.
+        src = str(Path(splitcut.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-m", "splitcut", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: splitcut")

@@ -18,6 +18,7 @@ from splitcut import (
     cut_size,
     decide_maxcut,
     decide_maxcut_report,
+    generate_split,
     greedy_extend_is,
     maxcut_given_clique,
     maxcut_given_is,
@@ -203,6 +204,45 @@ class TestEnumerationCores:
         g, ind = pair
         report = maxcut_given_is(g, ind)
         assert report.size == brute_force_maxcut(g).size
+        assert cut_size(g, report.cut) == report.size
+
+
+class TestPinnedWitnesses:
+    """Exact reports, fixed before the two scan kernels became one scan loop.
+
+    The alg1 witness is counter 28160, in the second 2^14-counter chunk;
+    the alg2 one lies in the second of three chunks for a 41-column table.
+    """
+
+    ALG1_T16_SIDE1 = [9, 10, 11, 13, 14, 16, *range(18, 32)]
+    ALG2_C40_I14_SIDE1 = [
+        2, 3, 4, 7, 10, 11, 12, 14, 17, 18, 20, 24, 26, 28, 33, 34, 35, 36, 37,
+        41, 42, 46, 47, 49, 50, 51, 52,
+    ]
+
+    @pytest.mark.parametrize(
+        "make, solve, want",
+        [
+            (
+                lambda: generate_split(16, 16, 0.5, 8),
+                lambda g: maxcut_split(g, algorithm="alg1"),
+                ("alg1", 160, ALG1_T16_SIDE1, 2**16),
+            ),
+            (
+                lambda: generate_split(40, 14, 0.5, 11),
+                lambda g: maxcut_split(g, algorithm="alg2"),
+                ("alg2", 580, ALG2_C40_I14_SIDE1, 2**14),
+            ),
+            (lambda: cycle_graph(5), lambda g: maxcut_given_is(g, []), ("alg1", 4, [0, 2], 32)),
+            (lambda: cycle_graph(5), lambda g: maxcut_given_clique(g, []), ("alg2", 4, [0, 2], 32)),
+        ],
+        ids=["alg1-t16", "alg2-c40-i14", "is-c5-empty", "clique-c5-empty"],
+    )
+    def test_report_is_bit_for_bit(self, make, solve, want):
+        g = make()
+        report = solve(g)
+        got = (report.algorithm, report.size, sorted(report.cut.side1), report.subsets_enumerated)
+        assert got == want
         assert cut_size(g, report.cut) == report.size
 
 
