@@ -9,6 +9,7 @@ All commands are single-threaded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -160,6 +161,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="splitcut",

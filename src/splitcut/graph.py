@@ -28,13 +28,12 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Adjacency is kept twice: as neighbor sets for iteration and as one
-    bitmask row per vertex, so ``|N(v) & S|`` is a single popcount on
-    the intersection of two masks.
+    Adjacency is one bitmask row per vertex (bit u of ``adj_mask[v]`` is
+    set iff u and v are adjacent), so ``|N(v) & S|`` is a single popcount
+    on the intersection of two masks.
     """
 
     n: int
-    adj: tuple[VertexSet, ...]
     adj_mask: tuple[int, ...]
     m: int
 
@@ -43,43 +42,34 @@ class Graph:
         """Build a graph, rejecting self-loops, duplicates and bad endpoints."""
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
+        rows = [0] * n
+        m = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
+            if rows[u] >> v & 1:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(
-            n=n,
-            adj=tuple(frozenset(s) for s in nbrs),
-            adj_mask=tuple(mask_of(s) for s in nbrs),
-            m=len(seen),
-        )
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            m += 1
+        return cls(n=n, adj_mask=tuple(rows), m=m)
 
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj_mask[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return bool(self.adj_mask[u] >> v & 1)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (u, v) with u < v, in ascending order."""
         return tuple(
-            (u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v
+            (u, v) for u in range(self.n) for v in iter_bits(self.adj_mask[u] >> (u + 1) << (u + 1))
         )
 
     def is_complete(self) -> bool:
@@ -133,30 +123,25 @@ def complement(g: Graph) -> Graph:
     edges = [
         (u, v)
         for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if v not in g.adj[u]
+        for v in iter_bits(~g.adj_mask[u] & (g.full_mask >> (u + 1) << (u + 1)))
     ]
     return Graph.from_edges(g.n, edges)
 
 
 def connected_components(g: Graph) -> list[VertexSet]:
     """Components as vertex sets, ordered by their smallest member."""
-    seen = [False] * g.n
     comps: list[VertexSet] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = [start]
-        while stack:
-            u = stack.pop()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(frozenset(comp))
+    rest = g.full_mask
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            for v in iter_bits(frontier):
+                reach |= g.adj_mask[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        rest ^= comp
+        comps.append(frozenset(iter_bits(comp)))
     return comps
 
 
@@ -167,12 +152,12 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     order) together with the tuple mapping new IDs back to originals.
     """
     verts = tuple(sorted(as_vertex_set(g, vertices)))
+    keep = mask_of(verts)
     index = {v: i for i, v in enumerate(verts)}
     edges = [
         (index[u], index[v])
         for u in verts
-        for v in g.adj[u]
-        if u < v and v in index
+        for v in iter_bits(g.adj_mask[u] & (keep >> (u + 1) << (u + 1)))
     ]
     return Graph.from_edges(len(verts), edges), verts
 

@@ -85,7 +85,7 @@ def brute_force_split_check(g: Graph, cap: int = 20) -> bool:
     ignorant of degree sequences and recognition shortcuts.
     """
     _check_cap(g, cap)
-    masks = [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
+    masks = g.adj_mask
     for candidate in range(1 << g.n):
         rest = ((1 << g.n) - 1) ^ candidate
         ok = True

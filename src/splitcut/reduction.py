@@ -74,12 +74,7 @@ def maxcut_via_reduction(g: Graph) -> CutReport:
     algorithm tag and subset count come from the run on the image.
     """
     if g.n == 0:
-        return CutReport(
-            cut=Cut(side1=frozenset(), side2=frozenset()),
-            size=0,
-            algorithm="trivial",
-            subsets_enumerated=0,
-        )
+        return maxcut_split(g)
     rmap = build_split_instance(g)
     inner = maxcut_split(rmap.image)
     return CutReport(

@@ -42,7 +42,7 @@ COMPONENT_MERGE = "component-merge"
 # Most counter values per numpy pass, and the entry budget of one chunk's
 # (rows, columns) value table; see _scan for the memory this costs.
 _CHUNK = 1 << 14
-_TABLE = 1 << 18
+_TABLE = 1 << 17
 
 # Beyond 62 bits the counter would overflow uint64; 2^62 subsets is far
 # out of reach anyway.
@@ -85,8 +85,7 @@ def _require_clique(g: Graph, vertices) -> VertexSet:
 
 def _side_masks(g: Graph, side: list[int], of: list[int]) -> list[int]:
     """For each vertex in ``of``, its neighborhood as a bitmask over ``side``."""
-    pos = {v: i for i, v in enumerate(side)}
-    return [sum(1 << pos[u] for u in g.adj[v] if u in pos) for v in of]
+    return [sum(1 << i for i, u in enumerate(side) if g.adj_mask[v] >> u & 1) for v in of]
 
 
 def greedy_extend_is(g: Graph, independent, c1, c2) -> tuple[VertexSet, VertexSet]:
@@ -148,11 +147,11 @@ def _scan(g: Graph, side: list[int], other: list[int], score, columns: int) -> t
     ``side`` need not be a clique or an independent set. Returns (size,
     counter, column) of the first maximum in (counter, column) order.
 
-    Memory does not grow with 2^|side|: a chunk has min(2^14, 2^18 //
+    Memory does not grow with 2^|side|: a chunk has min(2^14, 2^17 //
     columns) rows, but at least 256, so its value table holds at most
-    2^18 int64 entries (2 MiB) up to 1024 columns, and each chunk's
+    2^17 int64 entries (1 MiB) up to 512 columns, and each chunk's
     arrays are freed before the next chunk starts. The alg2 scorer holds
-    about two such tables at once (tracemalloc peak 4.7 MiB per solve at
+    about two such tables at once (tracemalloc peak 2.4 MiB per solve at
     |C| = 60, |I| = 16); alg1's one-column chunks stay under 1 MiB
     (about 680 KiB at |C| = |I| = 22).
     """

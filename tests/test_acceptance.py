@@ -295,21 +295,37 @@ def test_criterion_7_recognition_correctness():
     )
 
 
-def test_criterion_8_polynomial_space():
-    # Build the instance and warm the solver before tracing, so the
-    # measurement sees only per-solve allocations.
-    g = balanced_bench_instance(22, prob=0.5, seed=1)
-    maxcut_split(balanced_bench_instance(10, prob=0.5, seed=1))
+def _solve_peak(g: Graph):
+    """A solve of ``g`` and its tracemalloc peak in bytes."""
     tracemalloc.start()
     report = maxcut_split(g)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
+    return report, peak
+
+
+def test_criterion_8_polynomial_space():
+    # Build the instances and warm the solver before tracing, so the
+    # measurement sees only per-solve allocations. The t=22 instance is
+    # solved by alg1; the |C| = 60, |I| = 16 one dispatches to alg2,
+    # whose chunks hold a (rows, |C| + 1) value table.
+    g1 = balanced_bench_instance(22, prob=0.5, seed=1)
+    g2 = generate_split(60, 16, 0.5, 3)
+    maxcut_split(balanced_bench_instance(10, prob=0.5, seed=1))
+    rep1, peak1 = _solve_peak(g1)
+    rep2, peak2 = _solve_peak(g2)
     budget = 4 * 1024 * 1024
-    ok = report.subsets_enumerated == 2**22 and peak < budget
+    ok = (
+        rep1.subsets_enumerated == 2**22
+        and rep2.algorithm == "alg2"
+        and rep2.subsets_enumerated == 2**16
+        and max(peak1, peak2) < budget
+    )
     _verdict(
         "criterion 8 (polynomial space)",
         ok,
-        f"t=22 solve walked {report.subsets_enumerated} subsets with peak "
-        f"{peak / 1024:.0f} KiB (budget {budget // 1024} KiB; a 2^22-entry "
-        "table would not fit)",
+        f"t=22 alg1 solve walked {rep1.subsets_enumerated} subsets with peak "
+        f"{peak1 / 1024:.0f} KiB; |C|=60 |I|=16 {rep2.algorithm} solve walked "
+        f"{rep2.subsets_enumerated} subsets with peak {peak2 / 1024:.0f} KiB "
+        f"(budget {budget // 1024} KiB; a 2^22-entry table would not fit)",
     )

@@ -142,6 +142,22 @@ class TestComponents:
         for u, v in g.edges():
             assert any(u in comp and v in comp for comp in comps)
 
+    @given(graphs(max_n=10))
+    def test_components_match_union_find(self, g):
+        parent = list(range(g.n))
+
+        def find(v: int) -> int:
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for u, v in g.edges():
+            parent[find(u)] = find(v)
+        groups: dict[int, set[int]] = {}
+        for v in range(g.n):
+            groups.setdefault(find(v), set()).add(v)
+        assert connected_components(g) == sorted(map(frozenset, groups.values()), key=min)
+
 
 class TestInducedSubgraph:
     def test_relabels_ascending(self):

@@ -16,7 +16,7 @@ from splitcut import (
     recognize_split,
     verify_partition,
 )
-from splitcut.graph import is_clique, is_independent_set
+from splitcut.graph import is_clique, is_independent_set, mask_of
 from splitcut.recognition import SplitPartition
 
 from .conftest import complete_graph, cycle_graph, empty_graph, graphs, path_graph
@@ -48,7 +48,7 @@ class TestConstruction:
         assert is_clique(rmap.image, range(n))
         assert is_independent_set(rmap.image, range(n, rmap.image.n))
         for (u, v), aux in rmap.nonedge_vertex.items():
-            assert rmap.image.adj[aux] == frozenset({u, v})
+            assert rmap.image.adj_mask[aux] == mask_of([u, v])
 
     def test_image_is_recognized_split(self, pentagon_chord_map):
         part = recognize_split(pentagon_chord_map.image)
@@ -64,8 +64,8 @@ class TestConstruction:
         rmap = build_split_instance(cycle_graph(4))
         assert rmap.image.n == 6
         assert rmap.nonedge_vertex == {(0, 2): 4, (1, 3): 5}
-        assert rmap.image.adj[4] == frozenset({0, 2})
-        assert rmap.image.adj[5] == frozenset({1, 3})
+        assert rmap.image.adj_mask[4] == mask_of([0, 2])
+        assert rmap.image.adj_mask[5] == mask_of([1, 3])
 
     def test_rejects_empty_graph(self):
         with pytest.raises(ValueError, match="at least one vertex"):

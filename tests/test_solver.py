@@ -211,7 +211,8 @@ class TestPinnedWitnesses:
     """Exact reports, fixed before the two scan kernels became one scan loop.
 
     The alg1 witness is counter 28160, in the second 2^14-counter chunk;
-    the alg2 one lies in the second of three chunks for a 41-column table.
+    the alg2 one is counter 7878, in the third of six 3196-row chunks for
+    a 41-column table.
     """
 
     ALG1_T16_SIDE1 = [9, 10, 11, 13, 14, 16, *range(18, 32)]
