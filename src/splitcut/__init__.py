@@ -22,7 +22,6 @@ from .solver import (
     CutReport,
     DecisionReport,
     clique_prefix_partition,
-    decide_maxcut,
     decide_maxcut_report,
     greedy_extend_is,
     maxcut_given_clique,
@@ -46,7 +45,6 @@ __all__ = [
     "build_split_instance",
     "clique_prefix_partition",
     "cut_size",
-    "decide_maxcut",
     "decide_maxcut_report",
     "format_instance",
     "generate_split",

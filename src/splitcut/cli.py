@@ -15,8 +15,8 @@ import sys
 import time
 
 from .dimacs import ParseError, format_instance, parse_instance
-from .generate import generate_split
-from .graph import Graph, connected_components
+from .generate import bench_rows, generate_split
+from .graph import Graph
 from .oracle import InstanceTooLargeError, brute_force_maxcut
 from .recognition import NotSplitGraphError, recognize_split
 from .reduction import build_split_instance, maxcut_via_reduction
@@ -115,42 +115,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         fh.write(format_instance(g, comment=comment))
     print(f"wrote {args.output} (n={g.n}, m={g.m})")
     return 0
-
-
-def balanced_bench_instance(t: int, prob: float, seed: int) -> Graph:
-    """A connected split graph whose solve enumerates exactly 2^t subsets.
-
-    A raw draw can leave an independent vertex isolated, or can admit a
-    partition with a larger clique that recognition prefers; either way
-    the enumerated side would shrink below t. Such draws are discarded
-    and redrawn deterministically.
-    """
-    if t < 2:
-        raise ValueError("balanced instances need t >= 2")
-    for attempt in range(1000):
-        g = generate_split(t, t, prob, seed + 7919 * t + attempt)
-        if len(connected_components(g)) != 1:
-            continue
-        part = recognize_split(g)
-        if part is not None and min(len(part.clique), len(part.independent)) == t:
-            return g
-    raise ValueError(f"no balanced instance found for t={t} at prob={prob}")
-
-
-def bench_rows(
-    min_t: int, max_t: int, prob: float, seed: int
-) -> list[tuple[int, int, int, int, float]]:
-    """One (t, n, subsets, size, millis) row per t in min_t..max_t."""
-    if min_t < 2 or max_t < min_t:
-        raise ValueError("need 2 <= min_t <= max_t")
-    rows = []
-    for t in range(min_t, max_t + 1):
-        g = balanced_bench_instance(t, prob, seed)
-        start = time.perf_counter()
-        rep = maxcut_split(g)
-        millis = (time.perf_counter() - start) * 1000.0
-        rows.append((t, g.n, rep.subsets_enumerated, rep.size, millis))
-    return rows
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -40,7 +40,7 @@ TRIVIAL = "trivial"
 COMPONENT_MERGE = "component-merge"
 
 # Most counter values per numpy pass, and the entry budget of one chunk's
-# (rows, columns) value table; see _scan for the memory this costs.
+# (rows, width) working arrays; see _scan for the memory this costs.
 _CHUNK = 1 << 14
 _TABLE = 1 << 17
 
@@ -136,75 +136,74 @@ def clique_prefix_partition(g: Graph, clique, i1, i2, m: int) -> tuple[VertexSet
     return frozenset(order[:m]), frozenset(order[m:])
 
 
-def _scan(g: Graph, side: list[int], other: list[int], score, columns: int) -> tuple[int, int, int]:
+def _scan(g: Graph, side: list[int], other: list[int], score, width: int) -> tuple[int, int]:
     """Walk all 2^|side| subsets of ``side`` and return the first maximum.
 
     Counter bit i selects side[i] into side 1. For each chunk of
-    counters, ``score(counters, masks, degrees)`` gets every vertex of
-    ``other`` as a neighborhood bitmask over ``side`` plus its degree
-    into ``side``, and returns a (rows, columns) int64 table of cut sizes
-    that leaves out the edges inside ``side``; _scan adds those, so
-    ``side`` need not be a clique or an independent set. Returns (size,
-    counter, column) of the first maximum in (counter, column) order.
+    counters, ``score(counters, masks)`` gets every vertex of ``other``
+    as a neighborhood bitmask over ``side``, and returns one int64 cut
+    size per counter that leaves out the edges inside ``side``; _scan
+    adds those, so ``side`` need not be a clique or an independent set.
+    Returns (size, counter) of the first maximum in counter order.
 
-    Memory does not grow with 2^|side|: a chunk has min(2^14, 2^17 //
-    columns) rows, but at least 256, so its value table holds at most
-    2^17 int64 entries (1 MiB) up to 512 columns, and each chunk's
-    arrays are freed before the next chunk starts. The alg2 scorer holds
-    about two such tables at once (tracemalloc peak 2.4 MiB per solve at
-    |C| = 60, |I| = 16); alg1's one-column chunks stay under 1 MiB
-    (about 680 KiB at |C| = |I| = 22).
+    ``width`` is how many entries per counter the scorer works on (1 for
+    alg1, |C| + 1 for alg2). Memory does not grow with 2^|side|: a chunk
+    has min(2^14, 2^17 // width) rows, but at least 256, and each chunk's
+    arrays are freed before the next chunk starts. tracemalloc peaks per
+    solve are about 650 KiB for alg1 at |C| = |I| = 22 and 1.1 MiB for
+    alg2 at |C| = 60, |I| = 16.
     """
     t = len(side)
     if t > _MAX_SIDE:
         raise ValueError(f"enumerated side has {t} vertices; walking 2^{t} subsets is not tractable")
     within = np.array(_side_masks(g, side, side), dtype=np.uint64)
     masks = np.array(_side_masks(g, side, other), dtype=np.uint64)
-    degrees = np.bitwise_count(masks).astype(np.int64)
-    rows = max(256, min(_CHUNK, _TABLE // columns))
+    rows = max(256, min(_CHUNK, _TABLE // width))
     best = -1
     best_at = 0
     for lo in range(0, 1 << t, rows):
         counters = np.arange(lo, min(lo + rows, 1 << t), dtype=np.uint64)
+        values = score(counters, masks)
         others = ~counters
-        inner = np.zeros(len(counters), dtype=np.int64)  # edges inside side crossing the split
-        for i, mask in enumerate(within):
-            inner += np.bitwise_count(((counters >> np.uint64(i)) & np.uint64(1)) * mask & others)
-        values = score(counters, masks, degrees)
-        values += inner[:, None]
+        for i, mask in enumerate(within):  # edges inside side crossing the split
+            values += np.bitwise_count(((counters >> np.uint64(i)) & np.uint64(1)) * mask & others)
         at = int(values.argmax())
-        if values.flat[at] > best:
-            best = int(values.flat[at])
-            best_at = lo * columns + at
-        del counters, others, inner, values
-    return best, *divmod(best_at, columns)
+        if values[at] > best:
+            best = int(values[at])
+            best_at = lo + at
+        del counters, others, values
+    return best, best_at
 
 
-def _greedy_values(counters: np.ndarray, masks: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+def _greedy_values(counters: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """alg1: each independent vertex joins the side with fewer of its neighbors."""
     total = np.zeros(len(counters), dtype=np.int64)
     # Counts stay in uint8 (bitwise_count's type): with_side1 <= degree <= 62.
-    for mask, degree in zip(masks, degrees.tolist()):
+    for mask, degree in zip(masks, np.bitwise_count(masks).tolist()):
         with_side1 = np.bitwise_count(mask & counters)
         total += np.maximum(with_side1, degree - with_side1)
-    return total[:, None]
+    return total
 
 
-def _prefix_values(counters: np.ndarray, masks: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """alg2: column m puts the m clique vertices that most prefer side 1 there."""
+def _prefix_values(counters: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """alg2: each counter's cut with its best prefix of the sorted clique on side 1.
+
+    f(m) moves the m clique vertices that most prefer side 1 there. That
+    gains degree_v - 2 * with_side1_v = -loss_v per vertex and m(|C| - m)
+    clique edges, so with the losses sorted ascending, f(m + 1) - f(m) =
+    |C| - 1 - 2m - losses[m]. These increments strictly decrease, so f is
+    concave: its maximum adds the positive increments, and its first best
+    m counts them. clique_prefix_partition rebuilds the vertex order.
+    """
     size = len(masks)
-    m = np.arange(1, size + 1)
+    # |increment| <= |C| + 61 (with_side1 <= degree <= 62): int16 holds it up to
+    # |C| = 32706 and sorts ~3x as fast as int64; wider cliques get a wider type.
+    dtype = np.promote_types(np.int16, np.min_scalar_type(-(size + _MAX_SIDE)))
     with_side1 = np.bitwise_count(counters[:, None] & masks)
-    values = np.empty((len(counters), size + 1), dtype=np.int64)
-    values[:, 0] = with_side1.sum(axis=1)
-    # Moving clique vertex v to side 1 gains degree_v - 2 * with_side1_v
-    # (2 * with_side1 <= 124 fits uint8). Only the sorted gains matter;
-    # clique_prefix_partition rebuilds the order for the witness.
-    losses = 2 * with_side1 - degrees
+    losses = 2 * with_side1 - np.bitwise_count(masks).astype(dtype)  # 2 * 62 fits uint8
     losses.sort(axis=1)
-    np.subtract(values[:, :1], losses.cumsum(axis=1, out=losses), out=values[:, 1:])
-    values[:, 1:] += m * (size - m)
-    return values
+    gains = np.maximum(np.arange(size - 1, -size, -2, dtype=dtype) - losses, 0)
+    return with_side1.sum(axis=1, dtype=np.int64) + gains.sum(axis=1, dtype=np.int64)
 
 
 def maxcut_given_is(g: Graph, independent) -> CutReport:
@@ -215,7 +214,7 @@ def maxcut_given_is(g: Graph, independent) -> CutReport:
     """
     ind = _require_independent(g, independent)
     cverts = sorted(set(range(g.n)) - ind)
-    best, subset, _ = _scan(g, cverts, sorted(ind), _greedy_values, 1)
+    best, subset = _scan(g, cverts, sorted(ind), _greedy_values, 1)
     c1 = frozenset(cverts[i] for i in iter_bits(subset))
     c2 = frozenset(cverts) - c1
     i1, i2 = greedy_extend_is(g, ind, c1, c2)
@@ -230,14 +229,18 @@ def maxcut_given_is(g: Graph, independent) -> CutReport:
 def maxcut_given_clique(g: Graph, clique) -> CutReport:
     """Maximum cut of any graph that has ``clique`` as a clique.
 
-    Enumerates all 2^|V \\ C| splits of the complement side, trying every
-    prefix length of the sorted clique for each.
+    Enumerates all 2^|V \\ C| splits of the complement side and, for
+    each, the best prefix of the sorted clique (the shortest, on ties).
     """
     cl = _require_clique(g, clique)
     iverts = sorted(set(range(g.n)) - cl)
-    best, subset, m = _scan(g, iverts, sorted(cl), _prefix_values, len(cl) + 1)
+    best, subset = _scan(g, iverts, sorted(cl), _prefix_values, len(cl) + 1)
     i1 = frozenset(iverts[j] for j in iter_bits(subset))
     i2 = frozenset(iverts) - i1
+    # The first best prefix length counts the positive increments (see _prefix_values).
+    m1, m2 = mask_of(i1), mask_of(i2)
+    losses = sorted((g.adj_mask[v] & m1).bit_count() - (g.adj_mask[v] & m2).bit_count() for v in cl)
+    m = sum(loss < len(cl) - 1 - 2 * a for a, loss in enumerate(losses))
     c1, c2 = clique_prefix_partition(g, cl, i1, i2, m)
     return CutReport(
         cut=Cut(side1=c1 | i1, side2=c2 | i2),
@@ -339,8 +342,3 @@ def decide_maxcut_report(g: Graph, k: int) -> DecisionReport:
         clique_size=c,
         subsets_enumerated=exact.subsets_enumerated,
     )
-
-
-def decide_maxcut(g: Graph, k: int) -> bool:
-    """True iff the split graph ``g`` has a cut of size at least ``k``."""
-    return decide_maxcut_report(g, k).answer

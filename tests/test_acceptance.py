@@ -30,7 +30,7 @@ from splitcut import (
     recognize_split,
     verify_partition,
 )
-from splitcut.cli import balanced_bench_instance, bench_rows
+from splitcut.generate import balanced_bench_instance, bench_rows
 
 from .conftest import random_graph
 
@@ -308,7 +308,7 @@ def test_criterion_8_polynomial_space():
     # Build the instances and warm the solver before tracing, so the
     # measurement sees only per-solve allocations. The t=22 instance is
     # solved by alg1; the |C| = 60, |I| = 16 one dispatches to alg2,
-    # whose chunks hold a (rows, |C| + 1) value table.
+    # whose chunks hold (rows, |C|) per-vertex counts and sorted losses.
     g1 = balanced_bench_instance(22, prob=0.5, seed=1)
     g2 = generate_split(60, 16, 0.5, 3)
     maxcut_split(balanced_bench_instance(10, prob=0.5, seed=1))

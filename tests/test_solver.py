@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,6 @@ from splitcut import (
     brute_force_maxcut,
     clique_prefix_partition,
     cut_size,
-    decide_maxcut,
     decide_maxcut_report,
     generate_split,
     greedy_extend_is,
@@ -25,6 +25,7 @@ from splitcut import (
     maxcut_split,
     recognize_split,
 )
+from splitcut.solver import _prefix_values
 
 from .conftest import (
     complete_graph,
@@ -173,6 +174,21 @@ class TestEnumerationCores:
         assert report.size == 4
         assert report.subsets_enumerated == 32
 
+    def test_wide_clique_prefix_values_do_not_wrap(self):
+        # Past |C| = 32706 the increments can leave int16; compare with an int64
+        # table of every prefix length, built the way the definition reads.
+        rng = np.random.default_rng(5)
+        size = 32_760
+        masks = rng.integers(0, 1 << 62, size, dtype=np.uint64)
+        counters = rng.integers(0, 1 << 62, 4, dtype=np.uint64)
+        values = _prefix_values(counters, masks)
+        with_side1 = np.bitwise_count(counters[:, None] & masks).astype(np.int64)
+        losses = np.sort(2 * with_side1 - np.bitwise_count(masks).astype(np.int64), axis=1)
+        m = np.arange(size + 1)
+        table = with_side1.sum(axis=1, keepdims=True) + m * (size - m)
+        table[:, 1:] -= losses.cumsum(axis=1)
+        assert values.tolist() == table.max(axis=1).tolist()
+
     def test_rejects_non_independent_input(self):
         with pytest.raises(ValueError, match="independent"):
             maxcut_given_is(path_graph(3), [0, 1])
@@ -211,8 +227,8 @@ class TestPinnedWitnesses:
     """Exact reports, fixed before the two scan kernels became one scan loop.
 
     The alg1 witness is counter 28160, in the second 2^14-counter chunk;
-    the alg2 one is counter 7878, in the third of six 3196-row chunks for
-    a 41-column table.
+    the alg2 one is counter 7878, in the third of six 3196-row chunks
+    (alg2 chunks at |C| = 40 are sized for 41 entries per counter).
     """
 
     ALG1_T16_SIDE1 = [9, 10, 11, 13, 14, 16, *range(18, 32)]
@@ -245,6 +261,55 @@ class TestPinnedWitnesses:
         got = (report.algorithm, report.size, sorted(report.cut.side1), report.subsets_enumerated)
         assert got == want
         assert cut_size(g, report.cut) == report.size
+
+
+def _first_strict_maximum(g: Graph, candidates) -> tuple[int, list[int]]:
+    """(size, sorted side1) of the first maximum cut in ``candidates``."""
+    best, side1 = -1, []
+    for c1, c2 in candidates:
+        size = cut_size(g, Cut(side1=c1, side2=c2))
+        if size > best:
+            best, side1 = size, sorted(c1)
+    return best, side1
+
+
+def _splits(verts: list[int]):
+    """Every (part1, part2) of ``verts`` in counter order, verts[0] the lowest bit."""
+    for counter in range(1 << len(verts)):
+        part1 = frozenset(v for j, v in enumerate(verts) if counter >> j & 1)
+        yield part1, frozenset(verts) - part1
+
+
+class TestDeterminismContract:
+    """Both cores against a naive walk of the README's determinism contract.
+
+    The walk tries counters in order and, for alg2, prefix lengths
+    m = 0..|C| of each counter, scores every cut with cut_size, and keeps
+    the first strict maximum.
+    """
+
+    @pytest.mark.parametrize("clique_size", range(7))
+    def test_cores_keep_the_first_maximum(self, clique_size):
+        clique = list(range(clique_size))
+        for is_size, seed in itertools.product(range(7), range(12)):
+            g = generate_split(clique_size, is_size, [0.3, 0.5, 0.7][seed % 3], seed)
+            independent = list(range(clique_size, clique_size + is_size))
+            alg1_cuts = (
+                (c1 | i1, c2 | i2)
+                for c1, c2 in _splits(clique)
+                for i1, i2 in [greedy_extend_is(g, independent, c1, c2)]
+            )
+            alg2_cuts = (
+                (c1 | i1, c2 | i2)
+                for i1, i2 in _splits(independent)
+                for m in range(clique_size + 1)
+                for c1, c2 in [clique_prefix_partition(g, clique, i1, i2, m)]
+            )
+            for report, cuts in (
+                (maxcut_given_is(g, independent), alg1_cuts),
+                (maxcut_given_clique(g, clique), alg2_cuts),
+            ):
+                assert (report.size, sorted(report.cut.side1)) == _first_strict_maximum(g, cuts)
 
 
 class TestDispatcher:
@@ -341,12 +406,12 @@ class TestDispatcher:
 
 class TestDecision:
     def test_fixed_split_graph_threshold(self, k5_fan_split_graph):
-        assert decide_maxcut(k5_fan_split_graph, 14)
-        assert not decide_maxcut(k5_fan_split_graph, 15)
+        assert decide_maxcut_report(k5_fan_split_graph, 14).answer
+        assert not decide_maxcut_report(k5_fan_split_graph, 15).answer
 
     def test_single_edge(self):
-        assert decide_maxcut(complete_graph(2), 1)
-        assert not decide_maxcut(complete_graph(2), 2)
+        assert decide_maxcut_report(complete_graph(2), 1).answer
+        assert not decide_maxcut_report(complete_graph(2), 2).answer
 
     def test_zero_threshold_is_always_yes(self):
         report = decide_maxcut_report(empty_graph(3), 0)
@@ -364,11 +429,11 @@ class TestDecision:
 
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            decide_maxcut(path_graph(3), -1)
+            decide_maxcut_report(path_graph(3), -1)
 
     def test_rejects_non_split_graph(self):
         with pytest.raises(NotSplitGraphError):
-            decide_maxcut(cycle_graph(5), 3)
+            decide_maxcut_report(cycle_graph(5), 3)
 
     @settings(max_examples=40)
     @given(split_graphs(max_side=4))
