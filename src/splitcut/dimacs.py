@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from .graph import Graph
 
+MAX_VERTICES = 1 << 20  # checked on the problem line, before any allocation
+
 
 class ParseError(ValueError):
     """Malformed DIMACS input; carries the 1-based line number."""
@@ -23,9 +25,9 @@ def parse_instance(text: str) -> Graph:
     """Parse a DIMACS graph, enforcing the announced edge count.
 
     Raises ParseError for: unknown line types, a missing or repeated
-    problem line, edges before the problem line, non-integer or
-    out-of-range endpoints, self-loops, repeated edges, and a final
-    edge count different from the announced one.
+    problem line, more than MAX_VERTICES vertices, edges before the
+    problem line, non-integer or out-of-range endpoints, self-loops,
+    repeated edges, and a final edge count different from the announced one.
     """
     n = -1
     header_line = 0
@@ -48,6 +50,8 @@ def parse_instance(text: str) -> Graph:
                 raise ParseError(line_no, "problem line must be 'p edge N M'") from None
             if n < 0 or declared < 0:
                 raise ParseError(line_no, "vertex and edge counts must be nonnegative")
+            if n > MAX_VERTICES:
+                raise ParseError(line_no, f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
             header_line = line_no
         elif fields[0] == "e":
             if n < 0:

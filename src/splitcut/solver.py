@@ -16,6 +16,7 @@ chunks of counter values, so memory stays constant in 2^t.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,18 +70,12 @@ class DecisionReport:
     subsets_enumerated: int
 
 
-def _require_independent(g: Graph, vertices) -> VertexSet:
-    s = as_vertex_set(g, vertices, "independent set")
-    if not is_independent_set(g, s):
-        raise ValueError("vertices do not form an independent set")
-    return s
-
-
-def _require_clique(g: Graph, vertices) -> VertexSet:
-    s = as_vertex_set(g, vertices, "clique")
-    if not is_clique(g, s):
-        raise ValueError("vertices do not form a clique")
-    return s
+def _require_sides(g: Graph, clique=frozenset(), independent=frozenset()) -> None:
+    """Raise ValueError, naming the side, unless both sides have their shape."""
+    if not is_independent_set(g, independent):
+        raise ValueError("independent side: vertices do not form an independent set")
+    if not is_clique(g, clique):
+        raise ValueError("clique side: vertices do not form a clique")
 
 
 def _side_masks(g: Graph, side: list[int], of: list[int]) -> list[int]:
@@ -95,7 +90,8 @@ def greedy_extend_is(g: Graph, independent, c1, c2) -> tuple[VertexSet, VertexSe
     as in c1 (ties to side 1), which maximizes the cut over all 2^|I|
     placements for this particular (c1, c2).
     """
-    ind = _require_independent(g, independent)
+    ind = as_vertex_set(g, independent, "independent set")
+    _require_sides(g, independent=ind)
     s1 = as_vertex_set(g, c1, "c1")
     s2 = as_vertex_set(g, c2, "c2")
     m1 = mask_of(s1)
@@ -142,42 +138,38 @@ def _scan(g: Graph, side: list[int], other: list[int], score, width: int) -> tup
     Counter bit i selects side[i] into side 1. For each chunk of
     counters, ``score(counters, masks)`` gets every vertex of ``other``
     as a neighborhood bitmask over ``side``, and returns one int64 cut
-    size per counter that leaves out the edges inside ``side``; _scan
-    adds those, so ``side`` need not be a clique or an independent set.
-    Returns (size, counter) of the first maximum in counter order.
+    size per counter, edges inside ``side`` included: k(t - k) for alg1's
+    clique, none for alg2's independent side. Returns (size, counter) of
+    the first maximum in counter order.
 
     ``width`` is how many entries per counter the scorer works on (1 for
     alg1, |C| + 1 for alg2). Memory does not grow with 2^|side|: a chunk
     has min(2^14, 2^17 // width) rows, but at least 256, and each chunk's
     arrays are freed before the next chunk starts. tracemalloc peaks per
-    solve are about 650 KiB for alg1 at |C| = |I| = 22 and 1.1 MiB for
+    solve are about 550 KiB for alg1 at |C| = |I| = 22 and 1.1 MiB for
     alg2 at |C| = 60, |I| = 16.
     """
     t = len(side)
     if t > _MAX_SIDE:
         raise ValueError(f"enumerated side has {t} vertices; walking 2^{t} subsets is not tractable")
-    within = np.array(_side_masks(g, side, side), dtype=np.uint64)
     masks = np.array(_side_masks(g, side, other), dtype=np.uint64)
     rows = max(256, min(_CHUNK, _TABLE // width))
     best = -1
     best_at = 0
     for lo in range(0, 1 << t, rows):
-        counters = np.arange(lo, min(lo + rows, 1 << t), dtype=np.uint64)
-        values = score(counters, masks)
-        others = ~counters
-        for i, mask in enumerate(within):  # edges inside side crossing the split
-            values += np.bitwise_count(((counters >> np.uint64(i)) & np.uint64(1)) * mask & others)
+        values = score(np.arange(lo, min(lo + rows, 1 << t), dtype=np.uint64), masks)
         at = int(values.argmax())
         if values[at] > best:
             best = int(values[at])
             best_at = lo + at
-        del counters, others, values
+        del values
     return best, best_at
 
 
-def _greedy_values(counters: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """alg1: each independent vertex joins the side with fewer of its neighbors."""
-    total = np.zeros(len(counters), dtype=np.int64)
+def _greedy_values(counters: np.ndarray, masks: np.ndarray, clique_size: int) -> np.ndarray:
+    """alg1: k(|C| - k) clique edges, each independent vertex opposite most of its neighbors."""
+    k = np.bitwise_count(counters).astype(np.int64)
+    total = k * (clique_size - k)  # int64: k(|C| - k) reaches 961 at |C| = 62
     # Counts stay in uint8 (bitwise_count's type): with_side1 <= degree <= 62.
     for mask, degree in zip(masks, np.bitwise_count(masks).tolist()):
         with_side1 = np.bitwise_count(mask & counters)
@@ -207,14 +199,16 @@ def _prefix_values(counters: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
 
 def maxcut_given_is(g: Graph, independent) -> CutReport:
-    """Maximum cut of any graph that has ``independent`` as an independent set.
+    """Maximum cut of a split graph with independent side I and clique V \\ I.
 
-    Enumerates all 2^|V \\ I| splits of the complement side; memory stays
-    polynomial in n.
+    Enumerates all 2^|V \\ I| splits of the clique; memory stays
+    polynomial in n. Arbitrary graphs go through maxcut_via_reduction.
     """
-    ind = _require_independent(g, independent)
+    ind = as_vertex_set(g, independent, "independent set")
     cverts = sorted(set(range(g.n)) - ind)
-    best, subset = _scan(g, cverts, sorted(ind), _greedy_values, 1)
+    _require_sides(g, frozenset(cverts), ind)
+    score = functools.partial(_greedy_values, clique_size=len(cverts))
+    best, subset = _scan(g, cverts, sorted(ind), score, 1)
     c1 = frozenset(cverts[i] for i in iter_bits(subset))
     c2 = frozenset(cverts) - c1
     i1, i2 = greedy_extend_is(g, ind, c1, c2)
@@ -227,13 +221,14 @@ def maxcut_given_is(g: Graph, independent) -> CutReport:
 
 
 def maxcut_given_clique(g: Graph, clique) -> CutReport:
-    """Maximum cut of any graph that has ``clique`` as a clique.
+    """Maximum cut of a split graph with clique side C and independent set V \\ C.
 
-    Enumerates all 2^|V \\ C| splits of the complement side and, for
+    Enumerates all 2^|V \\ C| splits of the independent side and, for
     each, the best prefix of the sorted clique (the shortest, on ties).
     """
-    cl = _require_clique(g, clique)
+    cl = as_vertex_set(g, clique, "clique")
     iverts = sorted(set(range(g.n)) - cl)
+    _require_sides(g, cl, frozenset(iverts))
     best, subset = _scan(g, iverts, sorted(cl), _prefix_values, len(cl) + 1)
     i1 = frozenset(iverts[j] for j in iter_bits(subset))
     i2 = frozenset(iverts) - i1

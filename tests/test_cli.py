@@ -87,6 +87,12 @@ class TestSolve:
         assert main(["solve", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_huge_vertex_count_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "huge.col"
+        path.write_text(f"p edge {2**20 + 1} 0\n")
+        assert main(["solve", str(path)]) == 2
+        assert f"line 1: vertex count {2**20 + 1} exceeds" in capsys.readouterr().err
+
 
 class TestDecide:
     def test_yes_and_no(self, split_file, capsys):

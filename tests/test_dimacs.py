@@ -29,6 +29,9 @@ class TestParsing:
     def test_no_trailing_newline_needed(self):
         assert parse_instance("p edge 1 0").n == 1
 
+    def test_vertex_limit_is_inclusive(self):
+        assert parse_instance(f"p edge {2**20} 0\n").n == 2**20
+
     def test_isolated_vertices_preserved(self):
         g = parse_instance("p edge 4 1\ne 2 3\n")
         assert g.n == 4
@@ -45,6 +48,7 @@ class TestRejection:
             ("p edge two 1\n", 1, "p edge N M"),
             ("p edge 2 1 7\n", 1, "p edge N M"),
             ("p edge -2 0\n", 1, "nonnegative"),
+            (f"c big\np edge {2**20 + 1} 0\n", 2, "exceeds the limit of 1048576"),
             ("p edge 2 1\ne 1\n", 2, "e U V"),
             ("p edge 2 1\ne 1 2 9\n", 2, "e U V"),
             ("p edge 2 1\ne one 2\n", 2, "integers"),

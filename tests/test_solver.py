@@ -25,6 +25,7 @@ from splitcut import (
     maxcut_split,
     recognize_split,
 )
+from splitcut.graph import is_clique
 from splitcut.solver import _prefix_values
 
 from .conftest import (
@@ -163,15 +164,17 @@ class TestEnumerationCores:
         assert report.size == 13
 
     def test_empty_independent_set_degenerates_to_full_enumeration(self):
-        g = cycle_graph(5)
-        report = maxcut_given_is(g, [])
-        assert report.size == brute_force_maxcut(g).size == 4
+        with pytest.raises(ValueError, match="clique side"):
+            maxcut_given_is(cycle_graph(5), [])
+        report = maxcut_given_is(complete_graph(5), [])
+        assert report.size == brute_force_maxcut(complete_graph(5)).size == 6
         assert report.subsets_enumerated == 32
 
     def test_empty_clique_degenerates_to_full_enumeration(self):
-        g = cycle_graph(5)
-        report = maxcut_given_clique(g, [])
-        assert report.size == 4
+        with pytest.raises(ValueError, match="independent side"):
+            maxcut_given_clique(cycle_graph(5), [])
+        report = maxcut_given_clique(empty_graph(5), [])
+        assert report.size == 0
         assert report.subsets_enumerated == 32
 
     def test_wide_clique_prefix_values_do_not_wrap(self):
@@ -198,9 +201,9 @@ class TestEnumerationCores:
             maxcut_given_clique(path_graph(3), [0, 2])
 
     def test_refuses_oversized_enumeration_side(self):
-        g = empty_graph(63)
+        # A valid split partition whose 63-vertex independent side is too wide.
         with pytest.raises(ValueError, match="not tractable"):
-            maxcut_given_is(g, [])
+            maxcut_given_clique(empty_graph(63), [])
 
     @settings(max_examples=75)
     @given(small_split_instances())
@@ -217,7 +220,12 @@ class TestEnumerationCores:
     @settings(max_examples=40)
     @given(graphs_with_independent_set())
     def test_alg1_handles_non_split_graphs(self, pair):
+        # The core needs V \ I to be a clique; other graphs go through the reduction.
         g, ind = pair
+        if not is_clique(g, set(range(g.n)) - ind):
+            with pytest.raises(ValueError, match="clique side"):
+                maxcut_given_is(g, ind)
+            return
         report = maxcut_given_is(g, ind)
         assert report.size == brute_force_maxcut(g).size
         assert cut_size(g, report.cut) == report.size
@@ -228,7 +236,10 @@ class TestPinnedWitnesses:
 
     The alg1 witness is counter 28160, in the second 2^14-counter chunk;
     the alg2 one is counter 7878, in the third of six 3196-row chunks
-    (alg2 chunks at |C| = 40 are sized for 41 entries per counter).
+    (alg2 chunks at |C| = 40 are sized for 41 entries per counter). The
+    two empty-side cases walk every split of K5 and of the edgeless
+    5-vertex graph, the only graphs on which an empty side is a split
+    partition.
     """
 
     ALG1_T16_SIDE1 = [9, 10, 11, 13, 14, 16, *range(18, 32)]
@@ -250,10 +261,10 @@ class TestPinnedWitnesses:
                 lambda g: maxcut_split(g, algorithm="alg2"),
                 ("alg2", 580, ALG2_C40_I14_SIDE1, 2**14),
             ),
-            (lambda: cycle_graph(5), lambda g: maxcut_given_is(g, []), ("alg1", 4, [0, 2], 32)),
-            (lambda: cycle_graph(5), lambda g: maxcut_given_clique(g, []), ("alg2", 4, [0, 2], 32)),
+            (lambda: complete_graph(5), lambda g: maxcut_given_is(g, []), ("alg1", 6, [0, 1], 32)),
+            (lambda: empty_graph(5), lambda g: maxcut_given_clique(g, []), ("alg2", 0, [], 32)),
         ],
-        ids=["alg1-t16", "alg2-c40-i14", "is-c5-empty", "clique-c5-empty"],
+        ids=["alg1-t16", "alg2-c40-i14", "is-k5-empty", "clique-e5-empty"],
     )
     def test_report_is_bit_for_bit(self, make, solve, want):
         g = make()
